@@ -713,7 +713,6 @@ def read_model_metadata(path) -> dict:
         "attributes": [
             {"name": entry.get("name"), "kind": entry.get("kind")} for entry in attributes
         ],
-        "engine": params.get("engine"),
         "strategy": params.get("strategy"),
         # Lineage (None / 0 for archives written before streaming updates).
         "trained_at": payload.get("trained_at"),
@@ -765,6 +764,13 @@ def _restore_fitted_arrays(model, payload: dict, attributes) -> None:
     model.update_generation_ = int(payload.get("update_generation") or 0)
 
 
+#: Constructor parameters older archives may store that no estimator takes
+#: any more.  ``engine`` selected between two tree-construction paths that
+#: built identical trees; only one remains, so the stored value carries no
+#: information and is dropped on load, whatever the format version.
+_RETIRED_PARAMS = frozenset({"engine"})
+
+
 def _instantiate_estimator(payload: dict):
     classes = _estimator_classes()
     class_name = payload.get("estimator_class")
@@ -773,7 +779,11 @@ def _instantiate_estimator(payload: dict):
         raise PersistenceError(
             f"unknown estimator class {class_name!r}; expected one of {sorted(classes)}"
         )
-    params = {name: _decode_param(value) for name, value in payload["params"].items()}
+    params = {
+        name: _decode_param(value)
+        for name, value in payload["params"].items()
+        if name not in _RETIRED_PARAMS
+    }
     return estimator_class(**params)
 
 

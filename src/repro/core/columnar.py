@@ -33,12 +33,14 @@ and batch classification need:
 * :meth:`ColumnarPdfStore.class_weights` — weighted class counts.
 
 The arrays stored are exact copies of the per-tuple pdfs, so the columnar
-path reproduces the object path's splits and statistics.  (The sole caveat:
-the object path renormalises pdf masses at every truncation level while the
-columnar path rescales once per node, so dispersion values can differ in the
-last bits; every strategy still builds an identical tree, and only UDT-ES —
-whose *work counts* depend on threshold near-ties — may report marginally
-different entropy-calculation counts.)
+path reproduces the splits and statistics of partitioning pdf objects one
+tuple at a time (the equivalence property tests pin this against a per-tuple
+reference builder).  The sole caveat: truncating pdf objects renormalises
+their masses at every level while the columnar path rescales once per node,
+so dispersion values below the root can differ in the last bits; every
+strategy still builds an identical tree, and only UDT-ES — whose *work
+counts* depend on threshold near-ties — may report marginally different
+entropy-calculation counts.
 """
 
 from __future__ import annotations

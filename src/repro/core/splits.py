@@ -78,7 +78,7 @@ class AttributeSplitContext:
         order.
 
     Contexts can also be built directly from precomputed per-class arrays
-    with :meth:`from_arrays`; the columnar engine
+    with :meth:`from_arrays`; the columnar store
     (:mod:`repro.core.columnar`) uses that path to avoid the per-tuple
     Python loop of this constructor.
     """
@@ -176,7 +176,7 @@ class AttributeSplitContext:
         (with the matching right-searchsorted ``candidate_idx``) and the
         per-class ``total_counts`` can be supplied when the caller already
         computed them in a fused batch.  No validation or copying is
-        performed — this is the fast path used by the columnar engine
+        performed — this is the fast path used by tree construction
         (:mod:`repro.core.columnar`).
         """
         self = object.__new__(cls)
@@ -437,9 +437,9 @@ def prepare_sweep_group(
     numerical attributes pays one set of numpy calls instead of ``k``.  The
     per-context accumulators are recovered by rebasing each context's slice
     on its segment start, which perturbs only the last floating-point bits
-    relative to a standalone per-context sum; because *every* strategy and
-    both tree engines obtain their sweep arrays through this same function,
-    they all keep seeing identical dispersion values.
+    relative to a standalone per-context sum; because *every* strategy (and
+    every way of building the contexts) obtains its sweep arrays through
+    this same function, they all keep seeing identical dispersion values.
 
     Contexts already carrying cached arrays for ``measure`` are left alone.
     No-op for measures without sweep support and for groups of fewer than

@@ -6,7 +6,7 @@ achieved rate, latency quantiles over the successful requests, and the
 outcome mix (200 / 429 shed / other 4xx / 5xx / transport).
 :func:`write_loadgen_report` wraps a list of such records in the same
 kind of provenance envelope the other benchmark drivers write
-(``repro_version``, ``model_format_version``, engine) so runs from
+(``repro_version``, ``model_format_version``, platform) so runs from
 different builds stay comparable.
 """
 

@@ -12,7 +12,7 @@ Endpoints (all JSON):
     Liveness: ``{"status": "ok", "models": <count>, "version": ...}``.
 ``GET /v1/models``
     Registry listing with per-model metadata (classes, feature schema,
-    construction engine, repro/format versions).
+    repro/format versions, update lineage).
 ``GET /v1/models/<name>``
     Metadata of one model (404 for unknown names).
 ``GET /metrics``
@@ -64,7 +64,12 @@ from repro.serve.engine import InferenceEngine
 from repro.serve.metrics import PROMETHEUS_CONTENT_TYPE, ServingMetrics
 from repro.serve.registry import ModelRegistry
 
-__all__ = ["ServingHTTPServer", "create_server", "negotiate_metrics_format"]
+__all__ = [
+    "JSONRequestHandler",
+    "ServingHTTPServer",
+    "create_server",
+    "negotiate_metrics_format",
+]
 
 _log = get_logger(__name__)
 
@@ -107,36 +112,48 @@ def negotiate_metrics_format(accept: "str | None") -> str:
 
 
 def _jsonable(value):
-    """Recursively convert numpy scalars/arrays for ``json.dumps``."""
+    """``json.dumps`` fallback: numpy arrays and scalars as plain JSON values."""
     if isinstance(value, np.ndarray):
         return value.tolist()
     if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, dict):
-        return {key: _jsonable(entry) for key, entry in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(entry) for entry in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Routes requests to the shared registry/engine/metrics triple."""
+class JSONRequestHandler(BaseHTTPRequestHandler):
+    """Request plumbing shared by the serving and router HTTP handlers.
+
+    JSON and text responses, the JSON error envelope (with ``Retry-After``
+    for shed load) and bounded JSON body parsing.  A tier overrides
+    :attr:`default_error_status` (the status of a
+    :class:`~repro.exceptions.ServingError` that carries none) and
+    :meth:`_record_error` (its error metric).
+
+    ``wfile`` is buffered and flushed once per response, so the status
+    line, headers and body leave in one send.  Written separately, the
+    body waits on the client's delayed ACK of the headers (Nagle's
+    algorithm), which costs a keep-alive client ~40 ms per request.
+    """
 
     protocol_version = "HTTP/1.1"
-    server: "ServingHTTPServer"
-
-    # -- plumbing ------------------------------------------------------------
+    wbufsize = 64 * 1024
+    default_error_status = 400
+    _access_log = _log
 
     def log_message(self, format: str, *args) -> None:  # noqa: A002
         if self.server.verbose:
-            _log.info(
+            self._access_log.info(
                 "http_access", client=self.address_string(), request=format % args
             )
 
-    def _send_json(self, status: int, payload: dict, *, headers: dict | None = None) -> None:
-        body = json.dumps(_jsonable(payload)).encode("utf-8")
+    def _record_error(self, status: int) -> None:
+        """Count an error response (no-op unless the tier overrides it)."""
+
+    def _respond(
+        self, status: int, body: bytes, content_type: str, headers: "dict | None" = None
+    ) -> None:
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
         for key, value in (headers or {}).items():
             self.send_header(key, value)
@@ -148,16 +165,16 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
         if status >= 400:
-            self.server.metrics.record_error(status)
+            self._record_error(status)
+
+    def _send_json(self, status: int, payload: dict, *, headers: "dict | None" = None) -> None:
+        body = json.dumps(payload, default=_jsonable).encode("utf-8")
+        self._respond(status, body, "application/json", headers)
 
     def _send_text(self, status: int, body: str, content_type: str) -> None:
-        encoded = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
+        self._respond(status, body.encode("utf-8"), content_type)
 
     def _send_serving_error(
         self, exc: ServingError, *, headers: "dict | None" = None
@@ -169,13 +186,7 @@ class _Handler(BaseHTTPRequestHandler):
             # carries the fractional hint for clients that can use it.
             payload["retry_after_s"] = float(exc.retry_after)
             merged["Retry-After"] = str(max(1, math.ceil(exc.retry_after)))
-        self._send_json(exc.status or 400, payload, headers=merged)
-
-    def _trace_headers(self, trace) -> "dict | None":
-        """Response headers echoing the request's trace id (if traced)."""
-        if trace:
-            return {TRACE_ID_HEADER: trace.trace_id}
-        return None
+        self._send_json(exc.status or self.default_error_status, payload, headers=merged)
 
     def _read_json_body(self) -> dict:
         length = int(self.headers.get("Content-Length") or 0)
@@ -191,6 +202,21 @@ class _Handler(BaseHTTPRequestHandler):
         if not isinstance(payload, dict):
             raise ServingError("request body must be a JSON object", status=400)
         return payload
+
+
+class _Handler(JSONRequestHandler):
+    """Routes requests to the shared registry/engine/metrics triple."""
+
+    server: "ServingHTTPServer"
+
+    def _record_error(self, status: int) -> None:
+        self.server.metrics.record_error(status)
+
+    def _trace_headers(self, trace) -> "dict | None":
+        """Response headers echoing the request's trace id (if traced)."""
+        if trace:
+            return {TRACE_ID_HEADER: trace.trace_id}
+        return None
 
     # -- routes --------------------------------------------------------------
 
@@ -412,7 +438,6 @@ def create_server(
     max_queue_rows_per_model: "int | None" = None,
     cache_size: int = 1024,
     cache_decimals: "int | None" = None,
-    predict_engine: str = "columnar",
     request_timeout_s: float = 30.0,
     workers: int = 1,
     preload: bool = False,
@@ -449,9 +474,7 @@ def create_server(
         raise ServingError(str(exc)) from exc
     registry = ModelRegistry(models_dir)
     metrics = ServingMetrics()
-    pool = (
-        WorkerPool(workers, predict_engine=predict_engine) if workers > 1 else None
-    )
+    pool = WorkerPool(workers) if workers > 1 else None
     try:
         engine = InferenceEngine(
             registry,
@@ -461,7 +484,6 @@ def create_server(
             max_queue_rows_per_model=max_queue_rows_per_model,
             cache_size=cache_size,
             cache_decimals=cache_decimals,
-            predict_engine=predict_engine,
             request_timeout_s=request_timeout_s,
             pool=pool,
             metrics=metrics,

@@ -20,8 +20,8 @@ addressable by its file stem — ``models/iris.zip`` serves as ``iris``:
   engine acquires the segment around each pool batch; a reload retires the
   old generation's segment, which is unlinked only after those in-flight
   batches drain;
-* **metadata** — classes, feature schema, construction engine and the
-  ``repro``/format versions that produced the archive, exposed through
+* **metadata** — classes, feature schema and the ``repro``/format
+  versions that produced the archive, exposed through
   ``GET /v1/models``.
 
 All methods are thread-safe; the HTTP layer calls into one shared registry

@@ -25,8 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Sequence
 
-import numpy as np
-
 from repro.core.builder import _EPS, TreeBuilder
 from repro.core.categorical import CategoricalDistribution
 from repro.core.dataset import UncertainDataset, UncertainTuple
@@ -201,7 +199,6 @@ class TreeUpdater:
             min_dispersion_gain=self.builder.min_dispersion_gain,
             post_prune=self.builder.post_prune,
             post_prune_confidence=self.builder.post_prune_confidence,
-            engine=self.builder.engine,
             n_jobs=1,
         )
 
@@ -230,7 +227,7 @@ class TreeUpdater:
             split_point = node.split_point
             assert split_point is not None
             assert node.left is not None and node.right is not None
-            # Training partition semantics (TreeBuilder._split_numerical):
+            # Training partition semantics (ColumnarPdfStore.split_numerical):
             # the fractional tuple's weight is scaled by the branch
             # probability and dust below _EPS is dropped on both sides.
             p_left, left_pdf, right_pdf = value.split_at(split_point)

@@ -4,7 +4,8 @@ The columnar engine (:mod:`repro.core.columnar`) must be a pure
 representation change: flattening a dataset and running tree construction on
 the flat arrays has to reproduce the per-tuple object path exactly — the
 same pdfs, the same split contexts, the same chosen splits and the same
-entropy-calculation counts the paper's efficiency study measures.
+entropy-calculation counts the paper's efficiency study measures.  The
+object path is the reference builder in ``tuple_oracle.py``.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from repro.core.columnar import ColumnarPdfStore
 from repro.core.splits import AttributeSplitContext
 from repro.core.strategies import STRATEGY_NAMES
 from repro.data import inject_uncertainty, load_dataset
+from tuple_oracle import TupleTreeBuilder
 
 
 def _random_uncertain_dataset(seed: int, n_tuples: int = 25, n_attributes: int = 3):
@@ -107,13 +109,12 @@ class TestContextEquivalence:
 
 
 class TestEngineEquivalence:
-    """Both engines choose identical splits and count identical work."""
+    """The columnar builder and the per-tuple oracle choose identical splits
+    and count identical work."""
 
     def _assert_engines_agree(self, dataset, strategy):
-        results = {}
-        for engine in ("tuples", "columnar"):
-            results[engine] = TreeBuilder(strategy=strategy, engine=engine).build(dataset)
-        tuples_result, columnar_result = results["tuples"], results["columnar"]
+        tuples_result = TupleTreeBuilder(strategy=strategy).build(dataset)
+        columnar_result = TreeBuilder(strategy=strategy).build(dataset)
         assert (
             tuples_result.tree.structure_signature()
             == columnar_result.tree.structure_signature()

@@ -28,6 +28,7 @@ by the ``arrays`` header in ``model.json``).
 from __future__ import annotations
 
 import json
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -152,6 +153,76 @@ class TestGoldenV1Archive:
         assert np.array_equal(
             upgraded.predict_proba(rows), model.predict_proba(rows)
         )
+
+
+def _with_engine_param(source: Path, target: Path, engine: str) -> None:
+    """Copy an archive, storing ``engine`` among its constructor params."""
+    with zipfile.ZipFile(source) as archive, zipfile.ZipFile(target, "w") as out:
+        for info in archive.infolist():
+            data = archive.read(info.filename)
+            if info.filename == "model.json":
+                payload = json.loads(data)
+                payload["params"]["engine"] = engine
+                data = json.dumps(payload).encode("utf-8")
+            out.writestr(info, data)
+
+
+class TestRetiredEngineParam:
+    """Archives that store the retired ``engine`` selector keep loading.
+
+    Older writers stored ``"engine": "columnar"`` or ``"tuples"`` among the
+    constructor params; both built the same tree, so the loader drops the
+    key for every format version and the archive predicts bit-identically
+    to its twin.
+    """
+
+    def test_golden_v1_archive_with_tuples_engine(self, tmp_path):
+        golden = _FIXTURES / "golden_v1_model.zip"
+        tuples_path = tmp_path / "tuples.zip"
+        _with_engine_param(golden, tuples_path, "tuples")
+        rows = np.array(
+            [[float(cell) for cell in row]
+             for row in json.loads((_FIXTURES / "golden_v1_expected.json").read_text())["rows"]]
+        )
+        columnar_model = load_model(golden)
+        tuples_model = load_model(tuples_path)
+        assert np.array_equal(tuples_model.predict_proba(rows), columnar_model.predict_proba(rows))
+        assert "engine" not in tuples_model.get_params()
+        for path in (golden, tuples_path):
+            assert "engine" not in read_model_metadata(path)
+
+    @pytest.mark.parametrize("format_version", [2, 3])
+    @pytest.mark.parametrize("forest", [False, True], ids=["tree", "forest"])
+    def test_tuples_archive_predicts_like_its_columnar_twin(
+        self, small_uncertain, tmp_path, format_version, forest
+    ):
+        from repro.api import persistence
+
+        model = (
+            UDTForestClassifier(n_estimators=3, random_state=2) if forest else UDTClassifier()
+        ).fit(small_uncertain)
+        real_payload = persistence._estimator_payload
+        loaded = {}
+        for engine in ("columnar", "tuples"):
+            path = tmp_path / f"{engine}.zip"
+
+            def payload_with_engine(model, kind, engine=engine):
+                payload = real_payload(model, kind)
+                payload["params"]["engine"] = engine
+                return payload
+
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(persistence, "_estimator_payload", payload_with_engine)
+                model.save(path, format_version=format_version)
+            with zipfile.ZipFile(path) as archive:
+                stored = json.loads(archive.read("model.json"))
+            assert stored["params"]["engine"] == engine
+            assert stored["format_version"] == format_version
+            assert "engine" not in read_model_metadata(path)
+            loaded[engine] = load_model(path)
+        expected = model.predict_proba(small_uncertain)
+        for restored in loaded.values():
+            assert np.array_equal(restored.predict_proba(small_uncertain), expected)
 
 
 def _leaves(tree):

@@ -82,10 +82,11 @@ class TestMetricsEndpoint:
         assert content_type == "application/json"
         # The GET above was counted before rendering and no traffic runs
         # after it, so the live snapshot must reproduce the response
-        # byte-for-byte (the server serialises with plain json.dumps too).
+        # byte-for-byte (the server serialises with plain json.dumps too,
+        # falling back to _jsonable only for numpy values).
         from repro.serve.http import _jsonable
 
-        expected = json.dumps(_jsonable(server.metrics.snapshot())).encode()
+        expected = json.dumps(server.metrics.snapshot(), default=_jsonable).encode()
         assert body == expected
 
     def test_accept_text_plain_serves_prometheus(self, server, client):

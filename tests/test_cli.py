@@ -27,13 +27,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sensitivity", "--parameter", "x"])
 
-    def test_engine_flag_on_every_experiment_command(self):
-        for command in ("accuracy", "noise", "efficiency", "sensitivity"):
-            args = build_parser().parse_args([command, "--engine", "tuples"])
-            assert args.engine == "tuples"
-            assert build_parser().parse_args([command]).engine == "columnar"
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["accuracy", "--engine", "warp-drive"])
+    @pytest.mark.parametrize(
+        "command", ["accuracy", "noise", "efficiency", "sensitivity", "train-forest"]
+    )
+    def test_engine_flag_is_a_usage_error(self, command, capsys):
+        argv = [command, "--engine", "tuples"]
+        if command == "train-forest":
+            argv = [command, "data.csv", "forest.zip", "--engine", "tuples"]
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+        assert "--engine" in capsys.readouterr().err
 
     def test_version_flag(self, capsys):
         from repro import __version__
@@ -90,14 +94,6 @@ class TestCommands:
         assert code == 0
         output = capsys.readouterr().out
         assert "UDT accuracy" in output
-
-    def test_accuracy_command_with_tuples_engine(self, capsys):
-        code = main(
-            ["accuracy", "--dataset", "Iris", "--scale", "0.3", "--samples", "6",
-             "--folds", "3", "--widths", "0.1", "--engine", "tuples"]
-        )
-        assert code == 0
-        assert "AVG accuracy" in capsys.readouterr().out
 
 
 @pytest.fixture
@@ -362,7 +358,6 @@ class TestServeParser:
         assert args.request_timeout == 30.0
         assert args.workers == 1
         assert args.cache_decimals is None
-        assert args.predict_engine == "columnar"
         assert args.preload is False
 
     def test_workers_must_be_positive(self):
@@ -413,15 +408,13 @@ class TestServeParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["serve", "--models", "m", "--max-batch", "0"])
 
-    def test_predict_engine_choices(self):
-        args = build_parser().parse_args(
-            ["serve", "--models", "m", "--predict-engine", "tuples"]
-        )
-        assert args.predict_engine == "tuples"
-        with pytest.raises(SystemExit):
+    def test_predict_engine_flag_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(
-                ["serve", "--models", "m", "--predict-engine", "warp"]
+                ["serve", "--models", "m", "--predict-engine", "tuples"]
             )
+        assert excinfo.value.code == 2
+        assert "--predict-engine" in capsys.readouterr().err
 
 
 class TestRouterCommand:
